@@ -51,20 +51,24 @@ The class prior ``pi_+`` is uniform by default ("For simplicity, here we
 assume that P(Y_i) is uniform, but we can also learn this distribution"),
 and can be learned through a logit parameter.
 
-Pattern-compressed fitting
---------------------------
+One fit, one scorer
+-------------------
 Because the likelihood sees the data only through vote patterns, the
-``(n, m)`` matrix can be deduplicated into ``(patterns, multiplicities)``
-(:mod:`repro.core.patterns`) and the objective rewritten with exact
-multiplicity weights: a full-batch gradient step costs O(patterns × m)
-independent of ``n``. :meth:`SamplingFreeLabelModel.fit_compressed`
-implements that path; minibatch steps sample *expanded row indices* with
-the very RNG calls the full-matrix fit makes and map them to patterns,
-so on an exact compression the compressed fit reproduces the
-full-matrix fit bitwise whenever every step is a minibatch step (and to
-≤ 1e-9 posteriors when full-batch weighted steps are involved — the
-differential fuzz harness in ``tests/test_fit_equivalence.py`` gates
-both regimes).
+``(n, m)`` matrix is deduplicated into its canonical ``(patterns,
+multiplicities)`` form (:func:`repro.core.patterns.compress_votes`) and
+the objective is written with multiplicity weights: a full-batch
+gradient step costs O(patterns × m) independent of ``n``, and a
+minibatch step draws patterns by inverse CDF over the cumulative
+weights. :meth:`SamplingFreeLabelModel.fit` is
+``fit_compressed(compress_votes(L))``, so a fit depends only on the
+multiset of rows — any row order, and any split of a stream into
+micro-batches, fits to the same bits.
+
+Scoring sums ``a_i = sum_j L_ij alpha_j`` left to right over the LF
+columns instead of calling a BLAS gemv, whose blocking depends on the
+number of rows. Each row's posterior bits therefore depend only on that
+row: offline scoring, the streaming label sink and the label server
+agree bitwise for any batch composition.
 """
 
 from __future__ import annotations
@@ -109,12 +113,6 @@ class LabelModelConfig:
     we anchor accuracies at >= 50% by default. Set to ``None`` to allow
     adversarial LFs (e.g. for the LF-triage diagnostics on symmetric
     data)."""
-    compress: bool = False
-    """When True, :meth:`SamplingFreeLabelModel.fit` deduplicates the
-    vote matrix into ``(patterns, multiplicities)`` and trains on the
-    compressed form (:meth:`~SamplingFreeLabelModel.fit_compressed`):
-    full-batch steps cost O(patterns × m) instead of O(n × m), and
-    minibatch steps are bitwise-faithful to the uncompressed fit."""
 
 
 class SamplingFreeLabelModel:
@@ -136,53 +134,25 @@ class SamplingFreeLabelModel:
         """Estimate parameters from a label matrix ``L`` of shape (m, n).
 
         Only the votes are used; no ground truth enters the procedure.
-        With ``config.compress`` set, the matrix is deduplicated into
-        ``(patterns, multiplicities)`` first and training runs on the
-        compressed form (see :meth:`fit_compressed`).
+        The matrix is compressed to its canonical pattern form first
+        (see :meth:`fit_compressed`), so the result does not depend on
+        row order.
         """
-        L = _validate_label_matrix(L)
-        if self.config.compress:
-            return self.fit_compressed(compress_votes(L))
-        m, n = L.shape
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-
-        self._init_fit(n, np.abs(L).sum(axis=0), float(m))
-
-        optimizer = self._optimizer_state()
-
-        for step in range(cfg.n_steps):
-            if cfg.batch_size >= m:
-                batch = L
-            else:
-                idx = rng.integers(0, m, size=cfg.batch_size)
-                batch = L[idx]
-            grads = self._gradients(batch)
-            loss = self._step_update(grads, optimizer)
-            if cfg.track_loss_every and step % cfg.track_loss_every == 0:
-                self.loss_history.append((step, loss / len(batch)))
-        return self
+        return self.fit_compressed(compress_votes(L))
 
     def fit_compressed(self, votes: CompressedVotes) -> "SamplingFreeLabelModel":
         """Estimate parameters from a pattern-compressed vote matrix.
 
-        The multiplicity-weighted objective is *exact*: per-step results
-        match fitting the expanded matrix. Two regimes:
+        Two regimes:
 
-        * **minibatch** (``batch_size < n_rows``): each step samples
-          patterns proportional to multiplicity. On an exact compression
-          (``row_ids`` present, or integer weights) the sampler draws
-          expanded row indices with the same RNG calls the full-matrix
-          fit makes, so sampled batches — and therefore the entire fit —
-          are bitwise identical to :meth:`fit` on the expanded matrix.
-          Real-valued weights (decay retention) sample via inverse-CDF
-          over the weight vector, leaving the sampled-gradient
-          distribution unchanged.
+        * **minibatch** (``batch_size < n_rows``): each step draws
+          ``batch_size`` patterns by inverse CDF over the cumulative
+          weights — with probability proportional to weight, for
+          integer counts and real-valued decay weights alike — and takes
+          an exact-gradient step on them;
         * **full-batch** (``batch_size >= n_rows``): exact
           multiplicity-weighted gradients at O(patterns × m) per step,
-          independent of ``n_rows`` — agreeing with the full-matrix fit
-          to ≤ 1e-9 posteriors (summation order differs, so last-ulp
-          drift is possible but bounded; gated by the fuzz harness).
+          independent of ``n_rows``.
 
         Args:
             votes: The compressed matrix (see
@@ -193,52 +163,30 @@ class SamplingFreeLabelModel:
 
         Raises:
             ValueError: If the patterns contain votes outside
-                ``{-1, 0, 1}``.
+                ``{-1, 0, 1}``, or the optimizer is unknown.
         """
         cfg = self.config
         P = _validate_label_matrix(votes.patterns)
-        weights = votes.weights.astype(np.float64, copy=False)
-        absP = np.abs(P)
-        total = float(votes.n_rows)
+        weights = votes.weights
+        total = votes.n_rows
         rng = np.random.default_rng(cfg.seed)
 
-        # Weighted fire counts are exact integers whenever the weights
-        # are, so this reproduces np.abs(L).sum(axis=0) bit-for-bit on
-        # an exact compression.
-        self._init_fit(P.shape[1], (absP * weights[:, None]).sum(axis=0), total)
+        fire_counts = (np.abs(P) * weights[:, None]).sum(axis=0)
+        self._init_fit(P.shape[1], fire_counts, total)
 
         optimizer = self._optimizer_state()
-
-        # Exact-compression sampling surface: expanded row index -> row.
-        row_ids = votes.row_ids
-        n_expanded = len(row_ids) if row_ids is not None else (
-            int(total) if votes.integral else 0
-        )
-        pattern_ends = (
-            np.cumsum(weights) if row_ids is None else None
-        )
+        pattern_ends = np.cumsum(weights)
 
         for step in range(cfg.n_steps):
             if cfg.batch_size >= total:
-                grads = self._gradients_weighted(P, absP, weights, total)
-                loss = self._step_update(grads, optimizer)
+                grads = self._gradients_weighted(P, weights)
                 denom = total
             else:
-                if row_ids is not None:
-                    idx = rng.integers(0, n_expanded, size=cfg.batch_size)
-                    batch = P[row_ids[idx]]
-                elif votes.integral:
-                    idx = rng.integers(0, n_expanded, size=cfg.batch_size)
-                    batch = P[
-                        np.searchsorted(pattern_ends, idx, side="right")
-                    ]
-                else:
-                    draw = rng.random(cfg.batch_size) * total
-                    picked = np.searchsorted(pattern_ends, draw, side="right")
-                    batch = P[np.minimum(picked, len(P) - 1)]
-                grads = self._gradients(batch)
-                loss = self._step_update(grads, optimizer)
-                denom = len(batch)
+                draw = rng.random(cfg.batch_size) * total
+                picked = np.searchsorted(pattern_ends, draw, side="right")
+                grads = self._gradients(P[np.minimum(picked, len(P) - 1)])
+                denom = cfg.batch_size
+            loss = self._step_update(grads, optimizer)
             if cfg.track_loss_every and step % cfg.track_loss_every == 0:
                 self.loss_history.append((step, loss / denom))
         return self
@@ -262,28 +210,34 @@ class SamplingFreeLabelModel:
         observed_propensity = np.clip(fire_counts / total, 1e-3, 1 - 1e-3)
         self.beta = np.log(observed_propensity / (1 - observed_propensity)) / 2.0
 
-    def _optimizer_state(self) -> tuple[AdamState, AdamState, AdamState]:
-        """Fresh per-fit Adam accumulators (unused under SGD)."""
-        return (
-            AdamState.like(self.alpha),
-            AdamState.like(self.beta),
-            AdamState.like(np.zeros(1)),
-        )
+    def _optimizer_state(
+        self,
+    ) -> tuple[AdamState, AdamState, AdamState] | None:
+        """Fresh per-fit Adam accumulators; ``None`` under SGD."""
+        if self.config.optimizer == "sgd":
+            return None
+        if self.config.optimizer == "adam":
+            return (
+                AdamState.like(self.alpha),
+                AdamState.like(self.beta),
+                AdamState.like(np.zeros(1)),
+            )
+        raise ValueError(f"unknown optimizer {self.config.optimizer!r}")
 
     def _step_update(
         self,
         grads: tuple[np.ndarray, np.ndarray, float, float],
-        optimizer: tuple[AdamState, AdamState, AdamState],
+        optimizer: tuple[AdamState, AdamState, AdamState] | None,
     ) -> float:
         """Apply one optimizer step from precomputed gradients.
 
-        Shared by the full-matrix and compressed fit loops so the two
-        paths cannot drift: l2, the optimizer update, the ``min_alpha``
-        projection, and the step counter are one code path. Returns the
-        (l2-adjusted) summed loss for tracking.
+        Shared by :meth:`fit_compressed` and :meth:`partial_step`, so
+        l2, the optimizer update, the ``min_alpha`` projection, and the
+        step counter are one code path. ``optimizer`` is the Adam state
+        from :meth:`_optimizer_state`, or ``None`` for a plain SGD step.
+        Returns the (l2-adjusted) summed loss for tracking.
         """
         cfg = self.config
-        adam_alpha, adam_beta, adam_prior = optimizer
         grad_alpha, grad_beta, grad_prior, loss = grads
         if cfg.l2 > 0.0:
             grad_alpha = grad_alpha + cfg.l2 * self.alpha
@@ -292,7 +246,8 @@ class SamplingFreeLabelModel:
                 float(self.alpha @ self.alpha) + float(self.beta @ self.beta)
             )
 
-        if cfg.optimizer == "adam":
+        if optimizer is not None:
+            adam_alpha, adam_beta, adam_prior = optimizer
             self.alpha = adam_step(self.alpha, grad_alpha, adam_alpha, cfg.learning_rate)
             self.beta = adam_step(self.beta, grad_beta, adam_beta, cfg.learning_rate)
             if cfg.learn_class_prior:
@@ -303,13 +258,11 @@ class SamplingFreeLabelModel:
                     cfg.learning_rate,
                 )
                 self.prior_logit = float(new[0])
-        elif cfg.optimizer == "sgd":
+        else:
             self.alpha = sgd_step(self.alpha, grad_alpha, cfg.learning_rate)
             self.beta = sgd_step(self.beta, grad_beta, cfg.learning_rate)
             if cfg.learn_class_prior:
                 self.prior_logit -= cfg.learning_rate * grad_prior
-        else:
-            raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
 
         if cfg.min_alpha is not None:
             self.alpha = np.maximum(self.alpha, cfg.min_alpha)
@@ -317,26 +270,19 @@ class SamplingFreeLabelModel:
         return loss
 
     def partial_step(self, batch: np.ndarray) -> float:
-        """Take one gradient step on a caller-supplied minibatch.
+        """Take one SGD step on a caller-supplied minibatch.
 
-        Used by the speed benchmark (steps/second, Section 5.2) and by the
-        distributed trainer in :mod:`repro.pipeline`, which shards batches
-        across simulated nodes the way the paper notes TensorFlow's API
-        makes easy.
+        Used by the speed benchmark (steps/second, Section 5.2), by the
+        online model's incremental updates, and by the distributed
+        trainer in :mod:`repro.pipeline`, which shards batches across
+        simulated nodes the way the paper notes TensorFlow's API makes
+        easy. The step goes through :meth:`_step_update`, so ``l2`` and
+        the ``min_alpha`` projection apply exactly as in :meth:`fit`.
         """
         if self.alpha is None or self.beta is None:
             raise RuntimeError("call fit() or init_params() before partial_step()")
         batch = _validate_label_matrix(batch)
-        cfg = self.config
-        grad_alpha, grad_beta, grad_prior, loss = self._gradients(batch)
-        self.alpha = self.alpha - cfg.learning_rate * grad_alpha
-        self.beta = self.beta - cfg.learning_rate * grad_beta
-        if cfg.learn_class_prior:
-            self.prior_logit -= cfg.learning_rate * grad_prior
-        if cfg.min_alpha is not None:
-            self.alpha = np.maximum(self.alpha, cfg.min_alpha)
-        self.steps_taken += 1
-        return loss / len(batch)
+        return self._step_update(self._gradients(batch), None) / len(batch)
 
     def init_params(self, n_lfs: int) -> None:
         """Initialize parameters without fitting (for step-wise training)."""
@@ -419,22 +365,18 @@ class SamplingFreeLabelModel:
         return grad_alpha, grad_beta, grad_prior, nll
 
     def _gradients_weighted(
-        self,
-        P: np.ndarray,
-        absP: np.ndarray,
-        weights: np.ndarray,
-        total: float,
+        self, P: np.ndarray, weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Multiplicity-weighted gradients over distinct patterns.
 
         Exactly the :meth:`_gradients` objective with each pattern row
         counted ``weights[p]`` times — every per-row sum becomes a
         weighted sum and the batch-size factor ``B`` becomes the total
-        row mass — at O(patterns × m) cost. ``grad_beta`` uses an
-        explicit column sum (not a BLAS dot) so that with unit weights
-        it reproduces ``absL.sum(axis=0)`` bit-for-bit.
+        row mass — at O(patterns × m) cost.
         """
         alpha, beta = self.alpha, self.beta
+        absP = np.abs(P)
+        total = float(weights.sum())
         a = P @ alpha                      # (k,)
         b = absP @ beta                    # (k,)
         p_correct, p_wrong, p_abstain, Z = self._z_components()
@@ -472,10 +414,17 @@ class SamplingFreeLabelModel:
     # ------------------------------------------------------------------
     def predict_proba(self, L: np.ndarray) -> np.ndarray:
         """Posterior ``P(Y_i = +1 | Lambda_i)`` — the probabilistic
-        training labels handed to the discriminative model."""
+        training labels handed to the discriminative model.
+
+        ``a_i = sum_j L_ij alpha_j`` is summed left to right over the LF
+        columns, so each row's posterior bits depend only on that row,
+        never on which other rows share the call.
+        """
         self._check_fitted()
         L = _validate_label_matrix(L)
-        a = L @ self.alpha
+        a = np.zeros(L.shape[0])
+        for j in range(L.shape[1]):
+            a += L[:, j] * self.alpha[j]
         return _sigmoid(2.0 * a + self.prior_logit)
 
     def predict(self, L: np.ndarray, threshold: float = 0.5) -> np.ndarray:

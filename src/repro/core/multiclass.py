@@ -14,7 +14,10 @@ giving::
     Z_j = log( exp(alpha_j+beta_j) + (k-1) exp(-alpha_j+beta_j) + 1 )
 
 Training minimizes the marginal NLL ``-sum_i log sum_y P(Lambda_i, y)``
-with exact gradients, mirroring :class:`repro.core.SamplingFreeLabelModel`.
+with exact gradients, mirroring :class:`repro.core.SamplingFreeLabelModel`:
+the fit consumes the canonical ``(patterns, multiplicities)`` form of the
+vote matrix (:func:`repro.core.patterns.compress_votes`), so it does not
+depend on row order.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ class MulticlassConfig:
     min_alpha: float | None = 0.0
     """Better-than-random accuracy anchor; see
     :class:`repro.core.label_model.LabelModelConfig.min_alpha`."""
-    compress: bool = False
-    """When True, :meth:`MulticlassLabelModel.fit` trains on the
-    deduplicated ``(patterns, multiplicities)`` form — same contract as
-    :attr:`repro.core.label_model.LabelModelConfig.compress`."""
 
 
 class MulticlassLabelModel:
@@ -64,39 +63,18 @@ class MulticlassLabelModel:
     # training
     # ------------------------------------------------------------------
     def fit(self, L: np.ndarray) -> "MulticlassLabelModel":
-        """Estimate parameters from a vote matrix ``L`` in ``{0..k}``.
-
-        With ``config.compress`` set, the matrix is deduplicated first
-        and training runs on the compressed form
-        (:meth:`fit_compressed`)."""
-        L = self._validate(L)
-        if self.config.compress:
-            return self.fit_compressed(compress_votes(L))
-        m, n = L.shape
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-
-        self._init_fit(n, (L != 0).sum(axis=0), float(m))
-        adam_alpha = AdamState.like(self.alpha)
-        adam_beta = AdamState.like(self.beta)
-
-        for _ in range(cfg.n_steps):
-            if cfg.batch_size >= m:
-                batch = L
-            else:
-                batch = L[rng.integers(0, m, size=cfg.batch_size)]
-            grad_alpha, grad_beta = self._gradients(batch)
-            self._apply_step(grad_alpha, grad_beta, adam_alpha, adam_beta)
-        return self
+        """Estimate parameters from a vote matrix ``L`` in ``{0..k}``:
+        ``fit_compressed(compress_votes(L))``."""
+        return self.fit_compressed(compress_votes(L))
 
     def fit_compressed(self, votes: CompressedVotes) -> "MulticlassLabelModel":
         """Estimate parameters from a pattern-compressed vote matrix.
 
         Same contract as
         :meth:`repro.core.label_model.SamplingFreeLabelModel.fit_compressed`:
-        minibatch steps on an exact compression are bitwise-faithful to
-        :meth:`fit` on the expanded matrix; full-batch steps use exact
-        multiplicity-weighted gradients at O(patterns × m).
+        minibatch steps draw patterns by inverse CDF over the cumulative
+        weights; full-batch steps use exact multiplicity-weighted
+        gradients at O(patterns × m).
 
         Args:
             votes: The compressed matrix (see
@@ -107,8 +85,8 @@ class MulticlassLabelModel:
         """
         cfg = self.config
         P = self._validate(votes.patterns)
-        weights = votes.weights.astype(np.float64, copy=False)
-        total = float(votes.n_rows)
+        weights = votes.weights
+        total = votes.n_rows
         rng = np.random.default_rng(cfg.seed)
 
         self._init_fit(
@@ -116,30 +94,17 @@ class MulticlassLabelModel:
         )
         adam_alpha = AdamState.like(self.alpha)
         adam_beta = AdamState.like(self.beta)
-
-        row_ids = votes.row_ids
-        n_expanded = len(row_ids) if row_ids is not None else (
-            int(total) if votes.integral else 0
-        )
-        pattern_ends = np.cumsum(weights) if row_ids is None else None
+        pattern_ends = np.cumsum(weights)
 
         for _ in range(cfg.n_steps):
             if cfg.batch_size >= total:
-                grad_alpha, grad_beta = self._gradients_weighted(
-                    P, weights, total
-                )
+                grad_alpha, grad_beta = self._gradients_weighted(P, weights)
             else:
-                if row_ids is not None:
-                    idx = rng.integers(0, n_expanded, size=cfg.batch_size)
-                    batch = P[row_ids[idx]]
-                elif votes.integral:
-                    idx = rng.integers(0, n_expanded, size=cfg.batch_size)
-                    batch = P[np.searchsorted(pattern_ends, idx, side="right")]
-                else:
-                    draw = rng.random(cfg.batch_size) * total
-                    picked = np.searchsorted(pattern_ends, draw, side="right")
-                    batch = P[np.minimum(picked, len(P) - 1)]
-                grad_alpha, grad_beta = self._gradients(batch)
+                draw = rng.random(cfg.batch_size) * total
+                picked = np.searchsorted(pattern_ends, draw, side="right")
+                grad_alpha, grad_beta = self._gradients(
+                    P[np.minimum(picked, len(P) - 1)]
+                )
             self._apply_step(grad_alpha, grad_beta, adam_alpha, adam_beta)
         return self
 
@@ -159,7 +124,7 @@ class MulticlassLabelModel:
         adam_alpha: AdamState,
         adam_beta: AdamState,
     ) -> None:
-        """One Adam update + min_alpha projection (shared by both fits)."""
+        """One Adam update + min_alpha projection."""
         cfg = self.config
         self.alpha = adam_step(self.alpha, grad_alpha, adam_alpha, cfg.learning_rate)
         self.beta = adam_step(self.beta, grad_beta, adam_beta, cfg.learning_rate)
@@ -167,11 +132,12 @@ class MulticlassLabelModel:
             self.alpha = np.maximum(self.alpha, cfg.min_alpha)
 
     def _gradients_weighted(
-        self, P: np.ndarray, weights: np.ndarray, total: float
+        self, P: np.ndarray, weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Multiplicity-weighted :meth:`_gradients` over distinct
         patterns: per-row sums become weighted sums and the batch factor
-        ``B`` becomes the total row mass ``total``."""
+        ``B`` becomes the total row mass ``weights.sum()``."""
+        total = float(weights.sum())
         posterior = self.predict_proba(P)
         non_abstain = P != 0
         vote_index = np.clip(P, 1, self.n_classes) - 1

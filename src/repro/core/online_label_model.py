@@ -9,11 +9,12 @@ independent model:
 
 1. **The data enters the likelihood only through vote patterns.** For m
    labeling functions there are at most ``3^m`` distinct vote rows, and
-   in practice a handful: the stream can be retained losslessly as a
-   *pattern dictionary* (each distinct row stored once) plus a 4-byte
-   pattern id per observed example. At the benchmark's 13-LF workload
-   this is ~500x smaller than the decoded records and reconstructs the
-   exact label matrix, in stream order, on demand.
+   in practice a handful: the stream is retained as a *pattern log* —
+   each distinct row stored once, in first-seen order, with its
+   multiplicity. The log's size tracks pattern diversity, never stream
+   length, and its canonical form
+   (:func:`repro.core.patterns.compress_votes`) is exactly what the
+   offline fit of the same rows consumes.
 2. **Cheap first/second vote moments track the stream between refits.**
    Per-LF vote sums, fire rates, and the pairwise agreement matrix are
    O(m^2) per micro-batch and feed monitoring (the Section 3.3
@@ -27,12 +28,11 @@ Training interleaves two update kinds:
   sampled from the new batch — the model tracks a drifting stream at
   O(steps x batch) cost per micro-batch;
 * ``refit()`` (scheduled every ``refit_every`` batches, or called
-  manually at stream end) re-runs the offline fit over the retained
-  stream. By default it trains *directly on the pattern log*
-  (:meth:`SamplingFreeLabelModel.fit_compressed` — O(patterns x m) per
-  step instead of O(n x m), bitwise identical in the minibatch regime);
-  set ``compressed_refit=False`` or ``REPRO_COMPRESSED_REFIT=0`` to
-  rebuild the expanded matrix and run the identical offline ``fit``.
+  manually at stream end) fits the canonical form of the retained
+  pattern log (:meth:`SamplingFreeLabelModel.fit_compressed`,
+  O(patterns x m) per step). Because the offline ``fit`` compresses its
+  matrix to the same canonical form, a cumulative refit equals the
+  offline fit of the stream bitwise, for any batch split or row order.
 
 Retention modes
 ---------------
@@ -40,40 +40,32 @@ Production traffic is non-stationary; a refit that pools all of history
 keeps trusting labeling functions long after they rot. The accumulators
 therefore run in one of three modes, selected by the config:
 
-* **cumulative** (default): moments and the pattern log grow without
+* **cumulative** (default): moments and pattern counts grow without
   forgetting. Refits reproduce the offline fit on the full stream
-  *exactly* — same config, same seed, same bytes — so after a refit the
-  online model's parameters and posteriors are exactly those of an
-  offline :class:`SamplingFreeLabelModel` fit on the same data (the
-  equivalence suite asserts agreement to 1e-6; in practice they are
-  bitwise equal).
+  *exactly* — same config, same seed, same bytes.
 * **decay** (``decay=0.95``-ish): every observed micro-batch multiplies
   the moments and the per-pattern weights by ``decay`` before folding
   the new batch in — an exponential recency window with half-life
   ``ln 2 / ln(1/decay)`` batches. Patterns whose weight sinks below
   ``pattern_weight_floor`` are evicted, so the log's footprint tracks
-  the *recent* pattern diversity, not all of history. Refits see a
-  recency-weighted matrix: each retained pattern repeated
-  ``round(weight)`` times by default, or — with
-  ``decay_weighted_refit=True`` — weighted by its exact real-valued
-  decayed weight (no rounding; requires compressed refits).
-* **window** (``window_batches=N``): moments and the pattern log cover
-  exactly the last ``N`` micro-batches (exact rolling sums — all
-  integer-valued, so no drift). Patterns no longer referenced by the
-  window are evicted. Refits see precisely the window's rows, in stream
-  order.
+  the *recent* pattern diversity, not all of history. Refits weight each
+  retained pattern by its real-valued decayed weight.
+* **window** (``window_batches=N``): moments and pattern counts cover
+  exactly the last ``N`` micro-batches. Each batch's per-pattern count
+  delta is kept until it leaves the window (exact integer rolling sums),
+  and patterns no longer referenced by the window are evicted. Refits
+  equal the offline fit of the window's rows.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.label_model import LabelModelConfig, SamplingFreeLabelModel
-from repro.core.patterns import CompressedVotes
+from repro.core.patterns import CompressedVotes, compress_votes
 
 __all__ = ["OnlineLabelModelConfig", "OnlineLabelModel"]
 
@@ -107,22 +99,6 @@ class OnlineLabelModelConfig:
     """Decay mode only: patterns whose decayed weight falls below this
     floor are evicted from the log. Must be in (0, 1) so a pattern seen
     in the current batch (weight >= 1) is never evicted on arrival."""
-    compressed_refit: bool | None = None
-    """Whether :meth:`OnlineLabelModel.refit` trains directly on the
-    retained ``(patterns, multiplicities)`` log instead of expanding it
-    into a row matrix first. ``None`` (default) defers to the
-    ``REPRO_COMPRESSED_REFIT`` env knob (on unless set to ``"0"``).
-    Results are unchanged — minibatch refits are bitwise identical to
-    the expanded fit, and the tiny-stream full-batch regime falls back
-    to the expanded fit — only the per-step cost drops from O(n × m) to
-    O(patterns × m)."""
-    decay_weighted_refit: bool = False
-    """Decay mode only: when True, refits weight each retained pattern
-    by its *real-valued* decayed weight (exact recency semantics)
-    instead of the legacy ``round(weight)`` row repetition. Off by
-    default for bit-compatibility with existing decay-mode streams; the
-    weighted objective agrees with the rounded one to O(1/weight) in the
-    fitted parameters (regression-tested tolerance, not bitwise)."""
 
 
 class OnlineLabelModel:
@@ -165,27 +141,21 @@ class OnlineLabelModel:
                 "pattern_weight_floor must be in (0, 1), got "
                 f"{cfg.pattern_weight_floor}"
             )
-        if cfg.decay_weighted_refit and cfg.decay is None:
-            raise ValueError(
-                "decay_weighted_refit requires decay retention; set "
-                "decay to a value in (0, 1)"
-            )
         self._model = SamplingFreeLabelModel(replace(cfg.base))
         self._rng = np.random.default_rng(cfg.seed)
         self.n_lfs: int | None = None
         self.n_observed = 0
         self.batches_observed = 0
         self.refits_done = 0
-        # Pattern log: distinct vote rows, plus per-example pattern ids
-        # (cumulative/window) or per-pattern decayed weights (decay).
+        # Pattern log: distinct vote rows in first-seen order, with
+        # integer counts (cumulative/window) or real-valued decayed
+        # weights (decay); window mode also keeps each batch's
+        # (pattern ids, counts) delta until it leaves the window.
         self._pattern_ids: dict[bytes, int] = {}
         self._pattern_rows: list[np.ndarray] = []
-        self._row_ids: list[np.ndarray] = []
-        self._pattern_weights: np.ndarray | None = (
-            np.zeros(0) if cfg.decay is not None else None
-        )
-        self._pattern_refs: np.ndarray | None = (
-            np.zeros(0, dtype=np.int64) if cfg.window_batches is not None else None
+        self._pattern_weights = self._no_weights()
+        self._window_patterns: deque[tuple[np.ndarray, np.ndarray]] | None = (
+            deque() if cfg.window_batches is not None else None
         )
         # Streaming vote moments (recency-weighted in decay/window mode)
         # plus the effective sample weight behind them.
@@ -212,8 +182,8 @@ class OnlineLabelModel:
     def observe(self, votes: np.ndarray) -> None:
         """Fold one micro-batch of votes into the model.
 
-        ``votes`` is an ``(B, m)`` array over ``{-1, 0, +1}``; rows enter
-        the pattern log in arrival order (and, in decay/window mode,
+        ``votes`` is an ``(B, m)`` array over ``{-1, 0, +1}``; its
+        patterns enter the pattern log (and, in decay/window mode,
         displace stale history per the retention policy) so a later
         refit sees the retained stream's label matrix.
 
@@ -239,24 +209,11 @@ class OnlineLabelModel:
     def refit(self) -> SamplingFreeLabelModel:
         """Full offline fit on the retained pattern log.
 
-        Runs :meth:`SamplingFreeLabelModel.fit` semantics with the
-        ``base`` config over the retained stream. In cumulative mode the
-        result is exactly what an offline fit on the same stream prefix
-        produces; in decay/window mode it is the offline fit of the
-        *recency-weighted* matrix (see :meth:`reconstruct_matrix`).
-
-        When compressed refits are enabled (the default — see
-        :attr:`OnlineLabelModelConfig.compressed_refit`) the fit trains
-        directly on the pattern log via
-        :meth:`SamplingFreeLabelModel.fit_compressed`: per-step cost is
-        O(patterns × m) regardless of stream length, and minibatch-
-        regime results are bitwise identical to the expanded fit.
-        Streams small enough that every step would be a full-batch step
-        (``total rows <= base.batch_size``) fall back to the expanded
-        fit so tiny-stream refits also stay bitwise. With
-        ``decay_weighted_refit`` the decayed pattern weights enter the
-        objective as real-valued multiplicities instead of the legacy
-        ``round(weight)`` row repetition.
+        Fits :meth:`compressed_votes` with the ``base`` config via
+        :meth:`SamplingFreeLabelModel.fit_compressed`. In cumulative
+        mode the result is bitwise the offline ``fit`` of the observed
+        rows; in window mode, of the window's rows; in decay mode it is
+        the fit of the recency-weighted patterns.
 
         Returns:
             The freshly fitted inner model (also exposed as
@@ -268,77 +225,24 @@ class OnlineLabelModel:
         if self.n_observed == 0:
             raise RuntimeError("cannot refit before observing any votes")
         self._model = SamplingFreeLabelModel(replace(self.config.base))
-        votes = (
-            self.compressed_votes() if self._compressed_refit_enabled() else None
-        )
-        if votes is not None and (
-            votes.n_rows > self.config.base.batch_size
-            or (self.mode == "decay" and self.config.decay_weighted_refit)
-        ):
-            self._model.fit_compressed(votes)
-        else:
-            self._model.fit(self.reconstruct_matrix())
+        self._model.fit_compressed(self.compressed_votes())
         self.refits_done += 1
         return self._model
 
-    def _compressed_refit_enabled(self) -> bool:
-        """Resolve the compressed-refit switch (config, else env knob)."""
-        if self.config.compressed_refit is not None:
-            return self.config.compressed_refit
-        return os.environ.get("REPRO_COMPRESSED_REFIT", "1") != "0"
-
     def compressed_votes(self) -> CompressedVotes:
-        """The retained stream as a pattern-compressed vote matrix.
-
-        The compressed counterpart of :meth:`reconstruct_matrix` — no
-        row expansion is materialized:
-
-        * cumulative / window mode: the retained patterns with their
-          reference counts as integer multiplicities and the stream-
-          order ``row_ids`` map, so the compression is *exact* (the
-          expanded matrix is recoverable bit-for-bit);
-        * decay mode, legacy semantics: each pattern's multiplicity is
-          ``round(weight)`` (half-up), matching the row-repeated matrix
-          :meth:`reconstruct_matrix` builds, in pattern-id order;
-          zero-multiplicity patterns are omitted;
-        * decay mode with ``decay_weighted_refit``: the real-valued
-          decayed weights themselves — exact recency semantics with no
-          rounding.
+        """The retained stream in canonical pattern-compressed form.
 
         Returns:
             The :class:`~repro.core.patterns.CompressedVotes` the next
-            compressed refit trains on.
+            refit trains on: the retained patterns with their counts
+            (cumulative / window mode) or decayed weights (decay mode).
 
         Raises:
             RuntimeError: If no votes have been observed yet.
         """
-        if self.n_observed == 0:
-            raise RuntimeError("no votes observed yet")
-        patterns = np.vstack(self._pattern_rows)
-        if self.mode == "decay":
-            if self.config.decay_weighted_refit:
-                keep = self._pattern_weights > 0.0
-                return CompressedVotes(
-                    patterns=patterns[keep],
-                    weights=self._pattern_weights[keep].astype(np.float64),
-                    row_ids=None,
-                    n_rows=float(self._pattern_weights[keep].sum()),
-                )
-            reps = np.floor(self._pattern_weights + 0.5).astype(np.int64)
-            keep = reps > 0
-            return CompressedVotes(
-                patterns=patterns[keep],
-                weights=reps[keep].astype(np.float64),
-                row_ids=None,
-                n_rows=float(reps[keep].sum()),
-            )
-        ids = np.concatenate(self._row_ids).astype(np.int64)
-        weights = np.bincount(ids, minlength=len(patterns)).astype(np.float64)
-        return CompressedVotes(
-            patterns=patterns,
-            weights=weights,
-            row_ids=ids,
-            n_rows=float(len(ids)),
+        self._check_observed()
+        return compress_votes(
+            np.vstack(self._pattern_rows), self._pattern_weights
         )
 
     # ------------------------------------------------------------------
@@ -399,51 +303,43 @@ class OnlineLabelModel:
             self._agreement += agree
             self._moment_weight += count
 
+    def _no_weights(self) -> np.ndarray:
+        """An empty weight vector of this mode's dtype."""
+        return np.zeros(0, np.float64 if self.mode == "decay" else np.int64)
+
     def _append_patterns(self, votes: np.ndarray) -> None:
-        mode = self.mode
-        uniq, inverse = np.unique(votes, axis=0, return_inverse=True)
-        if mode == "decay" and len(self._pattern_weights):
+        batch = compress_votes(votes)
+        if self.mode == "decay":
             # Age the whole log before folding this batch in.
             self._pattern_weights *= self.config.decay
-        new_rows = 0
-        local_to_global = np.empty(len(uniq), dtype=np.int32)
-        for k, row in enumerate(uniq):
+        ids = np.empty(batch.n_patterns, dtype=np.int64)
+        for k, row in enumerate(batch.patterns):
             key = row.tobytes()
             pattern = self._pattern_ids.get(key)
             if pattern is None:
                 pattern = len(self._pattern_rows)
                 self._pattern_ids[key] = pattern
-                self._pattern_rows.append(row.copy())
-                new_rows += 1
-            local_to_global[k] = pattern
-        if mode == "decay":
-            counts = np.bincount(
-                np.ravel(inverse), minlength=len(uniq)
-            ).astype(np.float64)
-            if new_rows:
-                self._pattern_weights = np.concatenate(
-                    [self._pattern_weights, np.zeros(new_rows)]
-                )
-            self._pattern_weights[local_to_global] += counts
+                self._pattern_rows.append(row)
+            ids[k] = pattern
+        new_rows = len(self._pattern_rows) - len(self._pattern_weights)
+        if new_rows:
+            self._pattern_weights = np.concatenate(
+                [self._pattern_weights, np.zeros(new_rows, self._pattern_weights.dtype)]
+            )
+        if self.mode == "decay":
+            self._pattern_weights[ids] += batch.weights
             self._evict_patterns(
                 self._pattern_weights >= self.config.pattern_weight_floor
             )
-        elif mode == "window":
-            counts = np.bincount(np.ravel(inverse), minlength=len(uniq))
-            if new_rows:
-                self._pattern_refs = np.concatenate(
-                    [self._pattern_refs, np.zeros(new_rows, dtype=np.int64)]
-                )
-            self._pattern_refs[local_to_global] += counts
-            self._row_ids.append(local_to_global[inverse.astype(np.int32)])
-            while len(self._row_ids) > self.config.window_batches:
-                expired = self._row_ids.pop(0)
-                self._pattern_refs -= np.bincount(
-                    expired, minlength=len(self._pattern_refs)
-                )
-            self._evict_patterns(self._pattern_refs > 0)
-        else:
-            self._row_ids.append(local_to_global[inverse.astype(np.int32)])
+            return
+        counts = batch.weights.astype(np.int64)
+        self._pattern_weights[ids] += counts
+        if self.mode == "window":
+            self._window_patterns.append((ids, counts))
+            while len(self._window_patterns) > self.config.window_batches:
+                old_ids, old_counts = self._window_patterns.popleft()
+                self._pattern_weights[old_ids] -= old_counts
+            self._evict_patterns(self._pattern_weights > 0)
 
     def _evict_patterns(self, keep: np.ndarray) -> None:
         """Drop patterns where ``keep`` is False; remap retained ids."""
@@ -456,14 +352,11 @@ class OnlineLabelModel:
         self._pattern_ids = {
             row.tobytes(): i for i, row in enumerate(self._pattern_rows)
         }
-        if self._pattern_weights is not None:
-            self._pattern_weights = self._pattern_weights[keep]
-        if self._pattern_refs is not None:
-            self._pattern_refs = self._pattern_refs[keep]
-        if self._row_ids:
-            self._row_ids = [
-                remap[ids].astype(np.int32) for ids in self._row_ids
-            ]
+        self._pattern_weights = self._pattern_weights[keep]
+        if self._window_patterns is not None:
+            self._window_patterns = deque(
+                (remap[ids], counts) for ids, counts in self._window_patterns
+            )
 
     def _incremental_steps(self, votes: np.ndarray) -> None:
         cfg = self.config
@@ -489,16 +382,18 @@ class OnlineLabelModel:
 
         Includes the minibatch sampler's RNG state, both step counters
         (``batches_observed`` here, ``steps_taken`` on the inner model),
-        and the retention-mode state (decayed moments and pattern
-        weights, or the rolling window's per-batch contributions) so a
-        restored model takes *exactly* the updates the uninterrupted run
-        would have taken — resumed streams converge to the same
-        parameters to the bit, not just in distribution.
+        the pattern log with its counts or decayed weights, and the
+        retention-mode state (decayed moments, or the rolling window's
+        per-batch contributions) so a restored model takes *exactly* the
+        updates the uninterrupted run would have taken — resumed streams
+        converge to the same parameters to the bit. Its size is bounded
+        by pattern diversity and the window length, not by the number
+        of rows observed.
 
         Returns:
-            A JSON-safe dict (arrays as base64 raw buffers). Schema 2;
-            readers accept schema-1 dicts written before the retention
-            modes existed (see :meth:`load_state`).
+            A JSON-safe dict (arrays as base64 raw buffers). Schema 3;
+            readers accept schema-1 and schema-2 dicts, which carried
+            per-example pattern ids (see :meth:`load_state`).
         """
         from repro.dfs.records import encode_ndarray
 
@@ -506,8 +401,9 @@ class OnlineLabelModel:
             return None if array is None else encode_ndarray(array)
 
         window = self._window_moments
+        deltas = self._window_patterns
         return {
-            "schema": 2,
+            "schema": 3,
             "n_lfs": self.n_lfs,
             "n_observed": self.n_observed,
             "batches_observed": self.batches_observed,
@@ -516,19 +412,14 @@ class OnlineLabelModel:
             "pattern_rows": enc(
                 np.vstack(self._pattern_rows) if self._pattern_rows else None
             ),
-            "row_ids": enc(
-                np.concatenate(self._row_ids) if self._row_ids else None
+            "pattern_weights": enc(
+                self._pattern_weights if self._pattern_rows else None
             ),
-            "row_id_lengths": [len(ids) for ids in self._row_ids],
             "vote_sum": enc(self._vote_sum),
             "fire_sum": enc(self._fire_sum),
             "agreement": enc(self._agreement),
             "model": self._model.state_dict(),
-            # Retention-mode state (schema 2; absent in pre-drift
-            # manifests, which load_state treats as cumulative).
             "moment_weight": self._moment_weight,
-            "pattern_weights": enc(self._pattern_weights),
-            "pattern_refs": enc(self._pattern_refs),
             "window_vote_sums": enc(
                 np.stack([e[0] for e in window]) if window else None
             ),
@@ -541,6 +432,13 @@ class OnlineLabelModel:
             "window_counts": enc(
                 np.array([e[3] for e in window]) if window else None
             ),
+            "window_pattern_ids": enc(
+                np.concatenate([d[0] for d in deltas]) if deltas else None
+            ),
+            "window_pattern_counts": enc(
+                np.concatenate([d[1] for d in deltas]) if deltas else None
+            ),
+            "window_pattern_lengths": [len(d[0]) for d in deltas or ()],
         }
 
     def load_state(self, state: dict) -> "OnlineLabelModel":
@@ -548,13 +446,17 @@ class OnlineLabelModel:
 
         The instance must have been constructed with the same config the
         snapshot was taken under (configs are the caller's contract, the
-        snapshot carries only mutable state). Schema-1 dicts — written
-        by pre-drift checkpoints, before the retention modes existed —
-        restore cleanly: the missing retention keys default to the
-        cumulative-mode values they implicitly had.
+        snapshot carries only mutable state). Older schemas migrate:
+
+        * schema 1 (pre-drift, cumulative only) and schema 2 carry one
+          pattern id per observed example; they become
+          per-pattern counts, and in window mode ``row_id_lengths``
+          splits them back into per-batch count deltas;
+        * schema-1 dicts lack the retention keys, which default to the
+          cumulative-mode values they implicitly had.
 
         Args:
-            state: A dict produced by :meth:`state_dict` (schema 1 or 2).
+            state: A dict produced by :meth:`state_dict` (schema 1-3).
 
         Returns:
             ``self``, for chaining.
@@ -571,42 +473,36 @@ class OnlineLabelModel:
         self._rng = np.random.default_rng(self.config.seed)
         self._rng.bit_generator.state = state["rng_state"]
         rows = dec(state["pattern_rows"])
-        self._pattern_rows = [] if rows is None else [row for row in rows]
+        self._pattern_rows = [] if rows is None else list(rows)
         self._pattern_ids = {
             row.tobytes(): i for i, row in enumerate(self._pattern_rows)
         }
-        flat_ids = dec(state["row_ids"])
-        self._row_ids = []
-        if flat_ids is not None:
-            offset = 0
-            for length in state["row_id_lengths"]:
-                self._row_ids.append(flat_ids[offset:offset + length])
-                offset += length
         self._vote_sum = dec(state["vote_sum"])
         self._fire_sum = dec(state["fire_sum"])
         self._agreement = dec(state["agreement"])
-        # Schema-1 dicts predate the retention modes: their implicit
-        # moment weight is the observed count and they carry no decayed
-        # weights or window segments.
         self._moment_weight = float(
             state.get("moment_weight", self.n_observed)
         )
-        weights = dec(state.get("pattern_weights"))
-        if self.config.decay is not None:
-            self._pattern_weights = (
-                np.zeros(len(self._pattern_rows)) if weights is None else weights
+        if state.get("schema", 1) >= 3:
+            weights = dec(state["pattern_weights"])
+            deltas = _split(
+                dec(state["window_pattern_ids"]),
+                dec(state["window_pattern_counts"]),
+                state["window_pattern_lengths"],
             )
+        elif self.mode == "decay":
+            weights, deltas = dec(state.get("pattern_weights")), []
         else:
-            self._pattern_weights = weights
-        refs = dec(state.get("pattern_refs"))
-        if self.config.window_batches is not None:
-            self._pattern_refs = (
-                np.zeros(len(self._pattern_rows), dtype=np.int64)
-                if refs is None
-                else refs
+            # The one read of the legacy per-example id key.
+            weights, deltas = self._migrate_example_ids(
+                dec(state["row_ids"]), state["row_id_lengths"]
             )
-        else:
-            self._pattern_refs = refs
+        self._pattern_weights = (
+            self._no_weights() if weights is None else weights
+        )
+        self._window_patterns = (
+            deque(deltas) if self.mode == "window" else None
+        )
         self._window_moments = (
             deque() if self.config.window_batches is not None else None
         )
@@ -623,30 +519,30 @@ class OnlineLabelModel:
         self._model.load_state(state["model"])
         return self
 
-    # ------------------------------------------------------------------
-    # reconstruction + accessors
-    # ------------------------------------------------------------------
-    def reconstruct_matrix(self) -> np.ndarray:
-        """The retained label matrix the next refit will train on.
+    def _migrate_example_ids(
+        self, ids: np.ndarray | None, lengths: list[int]
+    ) -> tuple[np.ndarray | None, list[tuple[np.ndarray, np.ndarray]]]:
+        """Schema-1/2 per-example pattern ids -> per-pattern counts, plus
+        per-batch count deltas (split by ``lengths``) in window mode."""
+        if ids is None:
+            return None, []
+        weights = np.bincount(ids, minlength=len(self._pattern_rows))
+        deltas = []
+        if self.mode == "window":
+            offset = 0
+            for length in lengths:
+                batch_ids, counts = np.unique(
+                    ids[offset:offset + length], return_counts=True
+                )
+                deltas.append(
+                    (batch_ids.astype(np.int64), counts.astype(np.int64))
+                )
+                offset += length
+        return weights.astype(np.int64), deltas
 
-        Returns:
-            Cumulative mode: the exact observed matrix, in stream order,
-            as int8. Window mode: exactly the last ``window_batches``
-            micro-batches' rows, in stream order. Decay mode: the
-            recency-weighted matrix — each retained pattern repeated
-            ``round(weight)`` times (half-up, so a weight at 0.5 still
-            contributes a row), in pattern-id order; patterns whose
-            weight rounds to zero are omitted.
-        """
-        if self.n_observed == 0:
-            return np.zeros((0, self.n_lfs or 0), dtype=np.int8)
-        patterns = np.vstack(self._pattern_rows)
-        if self.mode == "decay":
-            reps = np.floor(self._pattern_weights + 0.5).astype(np.int64)
-            return patterns[np.repeat(np.arange(len(patterns)), reps)]
-        ids = np.concatenate(self._row_ids)
-        return patterns[ids]
-
+    # ------------------------------------------------------------------
+    # accessors
+    # ------------------------------------------------------------------
     @property
     def model(self) -> SamplingFreeLabelModel:
         """The current parameter estimate (incremental or last refit)."""
@@ -762,3 +658,17 @@ class OnlineLabelModel:
     def _check_observed(self) -> None:
         if self.n_observed == 0:
             raise RuntimeError("no votes observed yet")
+
+
+def _split(
+    ids: np.ndarray | None, counts: np.ndarray | None, lengths: list[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cut concatenated per-batch (pattern ids, counts) back into batches."""
+    deltas = []
+    offset = 0
+    for length in lengths:
+        deltas.append(
+            (ids[offset:offset + length], counts[offset:offset + length])
+        )
+        offset += length
+    return deltas

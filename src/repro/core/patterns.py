@@ -1,4 +1,4 @@
-"""Pattern compression for label-model fitting.
+"""Pattern compression: the label model's only input.
 
 The generative model only sees the data through vote *patterns*: two
 examples with identical vote rows contribute identically to the marginal
@@ -6,31 +6,18 @@ likelihood, so an ``(n, m)`` label matrix is losslessly equivalent to the
 pair ``(patterns, multiplicities)`` — the distinct rows and how often
 each occurs. At the benchmark workloads distinct patterns number in the
 low thousands while ``n`` grows unbounded (≈5k patterns at n=30,720 in
-the drift bench), so a fit that works on the compressed pair does
-O(patterns × m) work per full-batch gradient step *independent of stream
-length*.
+the drift bench), so every fit works on the compressed pair: a
+full-batch gradient step costs O(patterns × m) *independent of stream
+length*, and a minibatch step draws patterns by inverse CDF over the
+cumulative weights.
 
-:class:`CompressedVotes` is the carrier the compressed fitting paths in
-:class:`~repro.core.label_model.SamplingFreeLabelModel` and
-:class:`~repro.core.multiclass.MulticlassLabelModel` consume. It comes in
-two flavors:
-
-* **exact** (``row_ids`` present, or integer ``weights``): the expanded
-  matrix — ``patterns[row_ids]``, or each pattern repeated ``weights[p]``
-  times in pattern order — is recoverable bit-for-bit. Minibatch
-  sampling draws *expanded row indices* with the same RNG calls the
-  full-matrix fit makes and maps them to patterns, so sampled batches
-  are byte-identical to the full path's and the whole fit reproduces the
-  full-matrix fit **bitwise** whenever every step is a minibatch step.
-* **weighted** (real-valued ``weights``, no ``row_ids``): the decay
-  retention mode's recency weights. No expanded matrix exists; minibatch
-  sampling draws patterns with probability proportional to weight, which
-  leaves the sampled-gradient *distribution* unchanged relative to
-  fitting the (hypothetical) weighted matrix.
-
-Full-batch steps (``batch_size >= n_rows``) always use the
-multiplicity-weighted closed-form gradients — the O(patterns × m) path
-the refit-latency benchmark gates.
+:func:`compress_votes` puts any vote matrix — or any ``(patterns,
+weights)`` log, such as the online model's retained pattern counts —
+into one canonical form: int8 rows, sorted lexicographically by value,
+with the weights of equal rows summed. Two inputs that hold the same
+rows with the same total weights (a matrix and any row permutation of
+it, or a stream split into any micro-batches) therefore compress to the
+same bytes, so their fits agree bitwise by construction.
 """
 
 from __future__ import annotations
@@ -47,24 +34,14 @@ class CompressedVotes:
     """A deduplicated vote matrix: distinct rows plus multiplicities.
 
     Attributes:
-        patterns: ``(k, m)`` float64 (binary model) or int64 (multiclass)
-            array of distinct vote rows.
-        weights: ``(k,)`` float64 positive multiplicities. Integer-valued
-            for exact compressions; real-valued for decay-weighted ones.
-        row_ids: Optional ``(n,)`` integer map from expanded row index to
-            pattern index, in original stream order. When present,
-            ``patterns[row_ids]`` reconstructs the source matrix
-            bit-for-bit and minibatch sampling is bitwise-faithful to
-            the full-matrix fit.
-        n_rows: Total row mass ``weights.sum()`` — the ``n`` of the
-            matrix this compression stands for (float: real-valued in
-            decay-weighted mode).
+        patterns: ``(k, m)`` int8 array of distinct vote rows.
+        weights: ``(k,)`` float64 positive multiplicities: integer row
+            counts for a vote matrix, real-valued recency weights in the
+            online model's decay mode.
     """
 
     patterns: np.ndarray
     weights: np.ndarray
-    row_ids: np.ndarray | None
-    n_rows: float
 
     def __post_init__(self) -> None:
         if self.patterns.ndim != 2:
@@ -78,11 +55,6 @@ class CompressedVotes:
             )
         if len(self.weights) and float(self.weights.min()) <= 0.0:
             raise ValueError("pattern weights must be strictly positive")
-        if self.row_ids is not None and len(self.row_ids) != int(self.n_rows):
-            raise ValueError(
-                f"row_ids has {len(self.row_ids)} entries but n_rows is "
-                f"{self.n_rows}"
-            )
 
     @property
     def n_patterns(self) -> int:
@@ -90,61 +62,60 @@ class CompressedVotes:
         return self.patterns.shape[0]
 
     @property
-    def integral(self) -> bool:
-        """True when every weight is a whole number (exact compression)."""
-        return bool(np.all(self.weights == np.floor(self.weights)))
-
-    def expand(self) -> np.ndarray:
-        """The matrix this compression stands for.
-
-        Returns:
-            ``patterns[row_ids]`` (original order) when ``row_ids`` is
-            present; otherwise each pattern repeated ``round(weight)``
-            times in pattern order.
-
-        Raises:
-            ValueError: If the weights are non-integral and no
-                ``row_ids`` map exists — a real-valued weighting has no
-                expanded matrix.
-        """
-        if self.row_ids is not None:
-            return self.patterns[self.row_ids]
-        if not self.integral:
-            raise ValueError(
-                "cannot expand real-valued pattern weights into rows"
-            )
-        reps = self.weights.astype(np.int64)
-        return self.patterns[np.repeat(np.arange(self.n_patterns), reps)]
+    def n_rows(self) -> float:
+        """Total row mass ``weights.sum()`` — the ``n`` of the matrix
+        this compression stands for (real-valued in decay mode)."""
+        return float(self.weights.sum())
 
 
-def compress_votes(L: np.ndarray) -> CompressedVotes:
-    """Deduplicate a vote matrix into ``(patterns, multiplicities)``.
+def compress_votes(
+    L: np.ndarray, weights: np.ndarray | None = None
+) -> CompressedVotes:
+    """Put a vote matrix or a weighted pattern log into canonical form.
+
+    Rows are deduplicated through a contiguous row-bytes view (each int8
+    byte offset by 128, so byte order is value order), which is an order
+    of magnitude faster than ``np.unique(axis=0)`` and yields the same
+    sorted rows.
 
     Args:
-        L: ``(n, m)`` vote matrix (any dtype; rows are compared exactly).
+        L: ``(n, m)`` integer vote matrix; every entry must fit in int8.
+        weights: Optional ``(n,)`` positive weight per row; ``None``
+            counts each row once.
 
     Returns:
-        An exact :class:`CompressedVotes` whose ``row_ids`` reconstructs
-        ``L`` bit-for-bit (``patterns[row_ids] == L``). The all-abstain
-        row, duplicate-free matrices, and the 0-row matrix all compress
-        losslessly — a 0-row input yields 0 patterns.
+        The canonical :class:`CompressedVotes`: sorted distinct int8
+        rows with the summed weight of each. A 0-row input yields 0
+        patterns.
+
+    Raises:
+        ValueError: If ``L`` is not 2-D, holds values that are not int8
+            integers, has rows but no columns, or ``weights`` does not
+            have one entry per row.
     """
     L = np.asarray(L)
     if L.ndim != 2:
         raise ValueError(f"vote matrix must be 2-D, got shape {L.shape}")
-    if L.shape[0] == 0:
-        return CompressedVotes(
-            patterns=L.copy(),
-            weights=np.zeros(0, dtype=np.float64),
-            row_ids=np.zeros(0, dtype=np.int64),
-            n_rows=0.0,
+    rows = np.ascontiguousarray(L, dtype=np.int8)
+    if L.dtype != np.int8 and not np.array_equal(rows, L):
+        raise ValueError("votes must be integers in the int8 range")
+    if weights is not None and np.shape(weights) != (L.shape[0],):
+        raise ValueError(
+            f"weights shape {np.shape(weights)} does not match "
+            f"{L.shape[0]} rows"
         )
-    patterns, inverse = np.unique(L, axis=0, return_inverse=True)
-    row_ids = np.ravel(inverse).astype(np.int64)
-    weights = np.bincount(row_ids, minlength=len(patterns)).astype(np.float64)
+    if rows.shape[0] == 0:
+        return CompressedVotes(patterns=rows, weights=np.zeros(0))
+    if rows.shape[1] == 0:
+        raise ValueError("vote matrix needs at least one column")
+    row_bytes = np.dtype((np.void, rows.shape[1]))
+    keys = (rows.view(np.uint8) ^ np.uint8(0x80)).view(row_bytes).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    summed = np.bincount(
+        inverse.ravel(),
+        weights=None if weights is None else np.asarray(weights, np.float64),
+        minlength=len(first),
+    )
     return CompressedVotes(
-        patterns=patterns,
-        weights=weights,
-        row_ids=row_ids,
-        n_rows=float(L.shape[0]),
+        patterns=rows[first], weights=summed.astype(np.float64)
     )

@@ -772,7 +772,7 @@ def run_crash_recovery(
     }
     shards_identical = full_files == resumed_files
 
-    L = uninterrupted.online.reconstruct_matrix()
+    L = uninterrupted.online.compressed_votes().patterns
     final_full = uninterrupted.online.refit()
     final_resumed = resumed.online.refit()
     max_proba_diff = float(

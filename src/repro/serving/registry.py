@@ -23,16 +23,14 @@ root as the unit of deployment:
   N+1 activates mid-batch — the no-torn-reads contract the serving
   tests hammer.
 
-Because cumulative-mode ``refit`` reproduces the offline
-:class:`~repro.core.label_model.SamplingFreeLabelModel` fit on the
-stream prefix exactly, posteriors served from a generation are bitwise
-equal to an offline fit of the snapshot's prefix (the ARCHITECTURE
-invariant the serving benchmark enforces). That invariant survives the
-pattern-compressed refit path (the default): restore-time refits train
-on the manifest's dictionary-encoded pattern log at O(patterns x m) per
-step, and in the minibatch regime the result is bitwise identical to
-fitting the expanded matrix — so generation activation gets cheaper as
-streams grow without moving a single served posterior bit.
+Cumulative-mode ``refit`` fits the canonical form of the manifest's
+pattern log, which is exactly what the offline
+:class:`~repro.core.label_model.SamplingFreeLabelModel` ``fit`` of the
+stream prefix consumes, so a generation's parameters equal that offline
+fit bitwise, and restore-time refits cost O(patterns x m) per step
+however long the stream ran. Posteriors served from a generation are
+therefore bitwise equal to offline scoring of the snapshot's prefix
+(the ARCHITECTURE invariant the serving benchmark enforces).
 """
 
 from __future__ import annotations

@@ -28,11 +28,11 @@ Operational contract:
 * **hot swap safety** — the batcher captures the active generation once
   per micro-batch, so every response in a batch is scored by exactly
   one immutable generation even if the watcher swaps mid-batch;
-* **bitwise reproducibility** — vote blocks are zero-padded to a
-  multiple of 32 rows before scoring so BLAS takes the same vectorized
-  row-block path as offline full-matrix scoring; served posteriors are
-  bitwise equal to the generation's offline fit regardless of how
-  requests happened to coalesce into batches.
+* **bitwise reproducibility** — ``predict_proba`` sums each row's
+  score left to right over the LF columns, so a row's posterior bits
+  depend only on that row: served posteriors are bitwise equal to the
+  generation's offline scoring regardless of how requests happened to
+  coalesce into batches.
 
 Every knob reads its default from a serving environment variable
 documented in ``docs/OPERATIONS.md``; the counter families above are
@@ -60,7 +60,7 @@ from repro.lf.applier import (
 )
 from repro.lf.base import AbstractLabelingFunction
 from repro.mapreduce.counters import Gauge
-from repro.serving.registry import CheckpointModelRegistry, ServingGeneration
+from repro.serving.registry import CheckpointModelRegistry
 from repro.types import Example
 
 __all__ = [
@@ -90,16 +90,6 @@ SERVING_CONDITIONAL_COUNTER_KEYS = (
     "serving/backpressure_waits",
     "serving/refresh_errors",
 )
-
-#: Vote blocks are zero-padded to a multiple of this many rows before
-#: ``predict_proba``. BLAS gemv kernels process rows in small vector
-#: blocks and fall back to a scalar loop for the remainder, which can
-#: round the last ULP differently than the vectorized path; padding
-#: keeps every *real* row on the vectorized path, making served
-#: posteriors bitwise equal to offline full-matrix scoring for any
-#: micro-batch composition. Zero rows are valid votes (all-abstain) and
-#: are sliced off after scoring.
-_SCORE_PAD_ROWS = 32
 
 #: Bound on every shutdown join. The batcher and watcher re-check the
 #: stop flag at least every flush/poll interval (milliseconds), so a
@@ -452,7 +442,7 @@ class LabelServer:
         else:
             examples = [pending.example for pending in batch]
             votes = label_example_block(self.lfs, examples, self._fused_cols)
-            posteriors = self._score_votes(generation, votes)
+            posteriors = generation.label_model.predict_proba(votes)
             fired = np.abs(votes).sum(axis=1)
             for pending, posterior, n_fired in zip(batch, posteriors, fired):
                 self._resolve(
@@ -474,19 +464,6 @@ class LabelServer:
                 requests=len(batch),
                 degraded=generation is None,
             )
-
-    @staticmethod
-    def _score_votes(
-        generation: ServingGeneration, votes: np.ndarray
-    ) -> np.ndarray:
-        """Posterior block, padded for bitwise batch-size independence."""
-        n = votes.shape[0]
-        pad = (-n) % _SCORE_PAD_ROWS
-        if pad:
-            votes = np.vstack(
-                [votes, np.zeros((pad, votes.shape[1]), dtype=votes.dtype)]
-            )
-        return generation.label_model.predict_proba(votes)[:n]
 
     def _resolve(
         self,

@@ -10,7 +10,7 @@ periodically snapshots everything else a resumed stream needs —
   supports it),
 * the :class:`~repro.core.online_label_model.OnlineLabelModel`'s full
   mutable state: vote moments (including decay/window retention state),
-  the dictionary-encoded pattern log, the minibatch sampler's RNG
+  the pattern log with its counts or weights, the minibatch sampler's RNG
   state, and both step counters,
 * optionally the FTRL end model's per-coordinate optimizer state,
 * optionally the :class:`~repro.core.drift.DriftMonitor`'s reference /
@@ -49,15 +49,11 @@ uninterrupted run. The mechanism:
    crashed.
 
 Refits scheduled by the stream (cadence or drift reaction) run through
-:meth:`OnlineLabelModel.refit`, which by default trains directly on the
-dictionary-encoded pattern log the manifest already snapshots
-(pattern-compressed fitting — O(patterns x m) per step). The recovery
-contract is unchanged: compressed refits are bitwise identical to the
-expanded fit in the minibatch regime, so killed-and-resumed streams
-still reproduce the uninterrupted run's shards and posteriors byte for
-byte, manifests written before the compressed path existed restore and
-refit identically, and ``REPRO_COMPRESSED_REFIT=0`` recovers the
-expanded-matrix behavior exactly.
+:meth:`OnlineLabelModel.refit`, which fits the canonical form of the
+pattern log the manifest snapshots (O(patterns x m) per step). Manifest
+size tracks pattern diversity, not stream length; manifests written by
+older schemas, which carried one pattern id per example, migrate to
+pattern counts on restore.
 """
 
 from __future__ import annotations

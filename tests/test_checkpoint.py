@@ -102,6 +102,12 @@ def lfs():
     return make_lfs()
 
 
+def retained(online):
+    """An online model's retained stream: canonical patterns + weights."""
+    votes = online.compressed_votes()
+    return votes.patterns.tobytes() + votes.weights.tobytes()
+
+
 def tree_bytes(dfs, root):
     """Every finalized byte under ``root``, keyed by relative path."""
     return {p[len(root):]: dfs.read_file(p) for p in dfs.list(root)}
@@ -180,9 +186,7 @@ class TestCheckpointManager:
         restored = OnlineLabelModel(ONLINE_CONFIG)
         restored.load_state(checkpoint.label_model_state)
         assert restored.n_observed == model.n_observed
-        assert np.array_equal(
-            restored.reconstruct_matrix(), model.reconstruct_matrix()
-        )
+        assert retained(restored) == retained(model)
 
     def test_latest_picks_newest(self, dfs):
         manager = CheckpointManager(dfs, "/run")
@@ -274,9 +278,7 @@ class TestStateSnapshots:
 
         assert np.array_equal(straight.model.alpha, resumed.model.alpha)
         assert np.array_equal(straight.model.beta, resumed.model.beta)
-        assert np.array_equal(
-            straight.reconstruct_matrix(), resumed.reconstruct_matrix()
-        )
+        assert retained(straight) == retained(resumed)
         np.testing.assert_array_equal(
             straight._agreement, resumed._agreement
         )
@@ -335,6 +337,28 @@ class TestStateSnapshots:
 # ----------------------------------------------------------------------
 # pipeline sink stage
 # ----------------------------------------------------------------------
+class TestStateBound:
+    @pytest.mark.parametrize(
+        "retention", [{}, {"window_batches": 4}], ids=["cumulative", "window"]
+    )
+    def test_state_bytes_track_patterns_not_rows(self, retention):
+        """Over a fixed pattern set, a 50x longer stream writes state
+        JSON within 5% of the short stream's size."""
+        rng = np.random.default_rng(21)
+        pool = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(20, 6))
+
+        def state_bytes(n_batches):
+            model = OnlineLabelModel(replace(ONLINE_CONFIG, **retention))
+            for _ in range(n_batches):
+                extra = pool[rng.integers(0, len(pool), size=80)]
+                model.observe(np.vstack([pool, extra]))
+            assert model.n_patterns == len(pool)
+            return len(json.dumps(model.state_dict()))
+
+        short, long = state_bytes(10), state_bytes(500)
+        assert abs(long - short) <= 0.05 * short, (short, long)
+
+
 class TestPipelineSinkStage:
     def test_named_sinks_get_their_own_counters(self, corpus, lfs):
         calls = []
@@ -406,7 +430,7 @@ class TestCrashResume:
     ):
         dfs, shards, baseline, base_report = staged
         reference = tree_bytes(dfs, "/baseline")
-        L = baseline.online.reconstruct_matrix()
+        L = retained(baseline.online)
         total = base_report.batches_finalized
         assert total >= 5
 
@@ -424,7 +448,7 @@ class TestCrashResume:
                 f"divergent bytes after kill at batch {kill_after}"
             )
             assert report.last_batch_seq == base_report.last_batch_seq
-            assert np.array_equal(resumed.online.reconstruct_matrix(), L)
+            assert retained(resumed.online) == L
             # Source-side cursor: the resume seeks, it does not replay —
             # zero consumed examples are re-decoded, and ingest touches
             # only what remains past the manifest's cursor.
@@ -445,7 +469,7 @@ class TestCrashResume:
             )
         resumed = self._make_runner(dfs, lfs, root)
         resumed.run(RecordStreamSource(dfs, shards))
-        L = baseline.online.reconstruct_matrix()
+        L = baseline.online.compressed_votes().patterns
         gap = np.max(
             np.abs(
                 baseline.online.refit().predict_proba(L)
@@ -496,8 +520,7 @@ class TestCrashResume:
         # Vote/label shards converge; only the pre-crash manifests keep
         # their cursor-less legacy meta.
         assert shards_only(tree_bytes(dfs, root)) == shards_only(reference)
-        L = baseline.online.reconstruct_matrix()
-        assert np.array_equal(resumed.online.reconstruct_matrix(), L)
+        assert retained(resumed.online) == retained(baseline.online)
 
     def test_completed_root_is_idempotent(self, staged, lfs):
         dfs, shards, baseline, _ = staged
@@ -775,8 +798,8 @@ class TestPreDriftManifestCompat:
             assert resumed_tree[rel] == blob, f"divergent bytes at {rel}"
 
         # And the final models agree to the bit.
-        L = fresh.online.reconstruct_matrix()
-        assert np.array_equal(resumed.online.reconstruct_matrix(), L)
+        assert retained(resumed.online) == retained(fresh.online)
+        L = fresh.online.compressed_votes().patterns
         assert fresh.online.refit().predict_proba(L).tobytes() == (
             resumed.online.refit().predict_proba(L).tobytes()
         )
@@ -786,20 +809,18 @@ class TestPreDriftManifestCompat:
 # pattern-compressed refits under the durability contracts
 # ----------------------------------------------------------------------
 class TestCompressedRefitCheckpointing:
-    """Compressed refits must not move a byte of the durable contract.
+    """Refits must not move a byte of the durable contract.
 
     Streams here schedule refits *mid-run* (``refit_every=2``), so
     refitted parameters feed the label shards of every later batch —
-    any compressed/expanded divergence would surface as shard bytes,
-    not just as a final-posterior gap.
+    any divergence would surface as shard bytes, not just as a
+    final-posterior gap.
     """
 
     BATCH = 64
 
-    def _runner(self, dfs, lfs, root, compressed):
-        config = replace(
-            ONLINE_CONFIG, compressed_refit=compressed, refit_every=2
-        )
+    def _runner(self, dfs, lfs, root):
+        config = replace(ONLINE_CONFIG, refit_every=2)
         return CheckpointedStream(
             dfs,
             lfs,
@@ -810,55 +831,46 @@ class TestCompressedRefitCheckpointing:
         )
 
     def test_kill_matrix_with_compressed_refits(self, corpus, lfs):
-        """Killed after ANY batch with compressed refits enabled, the
-        resumed stream converges to byte-identical shards/manifests —
-        and the whole durable tree matches the expanded-refit stream bit
-        for bit, because minibatch-regime compressed refits are bitwise.
-        """
+        """Killed after ANY batch with mid-run refits, the resumed
+        stream converges to byte-identical shards/manifests, and the
+        final stream refit is bitwise the offline fit of the streamed
+        votes."""
         from repro.dfs.filesystem import DistributedFileSystem
 
         dfs = DistributedFileSystem()
         shards = stage_examples(dfs, corpus, "/examples/e", num_shards=3)
-        legacy = self._runner(dfs, lfs, "/refit-legacy", compressed=False)
-        legacy.run(RecordStreamSource(dfs, shards))
-        baseline = self._runner(
-            dfs, lfs, "/refit-compressed", compressed=True
-        )
+        baseline = self._runner(dfs, lfs, "/refit-compressed")
         base_report = baseline.run(RecordStreamSource(dfs, shards))
         assert baseline.online.refits_done > 0
 
         reference = tree_bytes(dfs, "/refit-compressed")
-        assert tree_bytes(dfs, "/refit-legacy") == reference, (
-            "compressed refits moved durable bytes relative to the "
-            "expanded-matrix refit path"
-        )
-        L = baseline.online.reconstruct_matrix()
-        gap = np.max(
-            np.abs(
-                legacy.online.model.predict_proba(L)
-                - baseline.online.model.predict_proba(L)
-            )
-        )
-        assert gap <= 1e-9
+        L = apply_lfs_in_memory(
+            lfs, list(RecordStreamSource(dfs, shards))
+        ).matrix
+        offline = SamplingFreeLabelModel(ONLINE_CONFIG.base).fit(L)
+        refit = baseline.online.refit()
+        assert np.array_equal(refit.alpha, offline.alpha)
+        assert np.array_equal(refit.beta, offline.beta)
+        assert np.array_equal(refit.predict_proba(L), offline.predict_proba(L))
 
         for kill_after in range(base_report.batches_finalized - 1):
             root = f"/refit-killed-{kill_after}"
             with pytest.raises(SimulatedCrash):
-                self._runner(dfs, lfs, root, compressed=True).run(
+                self._runner(dfs, lfs, root).run(
                     RecordStreamSource(dfs, shards),
                     fail_after_batch=kill_after,
                 )
-            resumed = self._runner(dfs, lfs, root, compressed=True)
+            resumed = self._runner(dfs, lfs, root)
             resumed.run(RecordStreamSource(dfs, shards))
             assert tree_bytes(dfs, root) == reference, (
                 f"divergent bytes after kill at batch {kill_after} "
-                "with compressed refits enabled"
+                "with mid-run refits"
             )
 
     def test_pre_drift_manifest_refits_identically_compressed(self):
-        """A manifest written before the compressed path existed must
-        restore and refit to the same parameters under it: the pattern
-        log it carries is exactly what the compressed fit consumes."""
+        """A schema-1 manifest (one pattern id per example) migrates to
+        pattern counts on restore and refits to exactly the offline fit
+        of the rows its per-example ids describe."""
         from repro.dfs.filesystem import DistributedFileSystem
 
         with open(TestPreDriftManifestCompat.FIXTURE) as handle:
@@ -867,21 +879,18 @@ class TestCompressedRefitCheckpointing:
         for path, blob in fixture["files"].items():
             dfs.write_file(path, base64.b64decode(blob))
         checkpoint = CheckpointManager(dfs, fixture["root"]).latest()
+        state = checkpoint.label_model_state
+        assert state["schema"] == 1
 
-        def restored(compressed):
-            online = OnlineLabelModel(
-                replace(ONLINE_CONFIG, compressed_refit=compressed)
-            )
-            online.load_state(checkpoint.label_model_state)
-            return online
-
-        legacy, compressed = restored(False), restored(True)
-        legacy_model = legacy.refit()
-        compressed_model = compressed.refit()
-        L = legacy.reconstruct_matrix()
-        assert np.array_equal(legacy_model.alpha, compressed_model.alpha)
-        assert np.array_equal(legacy_model.beta, compressed_model.beta)
-        assert np.array_equal(
-            legacy_model.predict_proba(L), compressed_model.predict_proba(L)
-        )
-
+        online = OnlineLabelModel(ONLINE_CONFIG).load_state(state)
+        rows = decode_ndarray(state["pattern_rows"])
+        L = rows[decode_ndarray(state["row_ids"])]
+        assert len(L) == online.n_observed
+        offline = SamplingFreeLabelModel(ONLINE_CONFIG.base).fit(L)
+        refit = online.refit()
+        assert np.array_equal(refit.alpha, offline.alpha)
+        assert np.array_equal(refit.beta, offline.beta)
+        assert np.array_equal(refit.predict_proba(L), offline.predict_proba(L))
+        # Restored state is schema 3 and holds no per-example ids.
+        migrated = online.state_dict()
+        assert migrated["schema"] == 3 and "row_ids" not in migrated

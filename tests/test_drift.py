@@ -17,6 +17,7 @@ from repro.core.online_label_model import (
     OnlineLabelModel,
     OnlineLabelModelConfig,
 )
+from repro.core.patterns import compress_votes
 from repro.streaming import MemorySource, MicroBatchPipeline
 from repro.types import Example
 
@@ -253,22 +254,8 @@ class TestDecayMode:
         model.observe(late)
         assert model.n_patterns == 1  # 0.125 < 0.25: evicted
         assert np.array_equal(
-            model.reconstruct_matrix()[0], late[0]
+            model.compressed_votes().patterns[0], late[0]
         )
-
-    def test_reconstruct_matrix_repeats_by_rounded_weight(self):
-        model = OnlineLabelModel(
-            OnlineLabelModelConfig(steps_per_batch=0, decay=0.5)
-        )
-        a = np.array([[1, 0, -1]] * 6, dtype=np.int8)
-        b = np.array([[0, 1, 0]] * 2, dtype=np.int8)
-        model.observe(a)
-        model.observe(b)
-        # Weights now: a = 6 * 0.5 = 3, b = 2.
-        L = model.reconstruct_matrix()
-        assert L.shape == (5, 3)
-        assert (L == a[0]).all(axis=1).sum() == 3
-        assert (L == b[0]).all(axis=1).sum() == 2
 
     def test_decayed_refit_adapts_after_shift(self):
         """The point of the mode: post-shift fits forget stale traffic."""
@@ -291,81 +278,35 @@ class TestDecayMode:
         acc_decayed = decayed.refit().accuracies()
         assert acc_decayed[0] < acc_cumulative[0] - 0.1
 
-    def test_compat_refit_pins_round_weight_semantics_bit_exactly(self):
-        """Regression pin: with ``decay_weighted_refit`` off (the
-        default), a compressed decay-mode refit reproduces today's
-        ``round(weight)`` row-repetition semantics to the bit — both
-        against the expanded-matrix refit and against an offline fit of
-        :meth:`reconstruct_matrix`'s repeated matrix."""
-        stream = draw_batches(8, seed=13) + draw_batches(8, seed=14, **SHIFTED)
-        base = LabelModelConfig(n_steps=300, seed=0)
-
-        def build(**kwargs):
-            model = OnlineLabelModel(
-                OnlineLabelModelConfig(
-                    base=base, steps_per_batch=0, decay=0.7, **kwargs
-                )
-            )
-            for votes in stream:
-                model.observe(votes)
-            return model
-
-        legacy = build(compressed_refit=False)
-        compat = build(compressed_refit=True)
-        legacy_model, compat_model = legacy.refit(), compat.refit()
-        L = legacy.reconstruct_matrix()
-        assert np.array_equal(legacy_model.alpha, compat_model.alpha)
-        assert np.array_equal(legacy_model.beta, compat_model.beta)
-        assert np.array_equal(
-            legacy_model.predict_proba(L), compat_model.predict_proba(L)
-        )
-        offline = SamplingFreeLabelModel(base).fit(L)
-        assert np.array_equal(offline.alpha, compat_model.alpha)
-
     def test_weighted_refit_within_documented_tolerance(self):
-        """``decay_weighted_refit=True`` drops the rounding: fitted
-        posteriors stay within the documented 0.1 of the legacy
-        ``round(weight)`` fit (the gap is the rounding error itself, a
-        few multiplicities of O(1) on a weight mass of hundreds), while
-        still adapting to the post-shift regime."""
+        """Decay refits weight each pattern by its real-valued decayed
+        weight: they fit exactly those weights, stay within 0.1 of an
+        offline fit of the ``round(weight)`` row repetition (the gap is
+        the rounding itself, O(1) on a weight mass of hundreds), and
+        still adapt to the post-shift regime."""
         stream = draw_batches(10, seed=13) + draw_batches(10, seed=14, **SHIFTED)
         base = LabelModelConfig(n_steps=400, seed=0)
-
-        def build(**kwargs):
-            model = OnlineLabelModel(
-                OnlineLabelModelConfig(
-                    base=base, steps_per_batch=0, decay=0.7, **kwargs
-                )
-            )
-            for votes in stream:
-                model.observe(votes)
-            return model
-
-        legacy = build(compressed_refit=False)
-        weighted = build(compressed_refit=True, decay_weighted_refit=True)
-        legacy_model, weighted_model = legacy.refit(), weighted.refit()
-        L = legacy.reconstruct_matrix()
-        gap = np.max(
-            np.abs(
-                legacy_model.predict_proba(L)
-                - weighted_model.predict_proba(L)
-            )
+        model = OnlineLabelModel(
+            OnlineLabelModelConfig(base=base, steps_per_batch=0, decay=0.7)
         )
-        assert 0.0 < gap <= 0.1, gap
-        # The weighted matrix has no expanded form; its weight mass is
-        # the real-valued decayed total, not a row count.
-        votes = weighted.compressed_votes()
-        assert not votes.integral
-        assert votes.row_ids is None
-        # LF 0 flipped post-shift: the weighted refit must still rate it
-        # near-useless, same as the legacy decayed refit.
-        assert weighted_model.accuracies()[0] <= 0.55
+        for votes in stream:
+            model.observe(votes)
+        votes = model.compressed_votes()
+        assert not np.all(votes.weights == np.floor(votes.weights))
+        refit = model.refit()
+        direct = SamplingFreeLabelModel(base).fit_compressed(votes)
+        assert np.array_equal(refit.alpha, direct.alpha)
 
-    def test_weighted_refit_requires_decay_mode(self):
-        with pytest.raises(ValueError, match="decay_weighted_refit"):
-            OnlineLabelModel(
-                OnlineLabelModelConfig(decay_weighted_refit=True)
-            )
+        reps = np.floor(votes.weights + 0.5).astype(np.int64)
+        rounded = SamplingFreeLabelModel(base).fit(
+            np.repeat(votes.patterns, reps, axis=0)
+        )
+        L = votes.patterns
+        gap = np.max(np.abs(rounded.predict_proba(L) - refit.predict_proba(L)))
+        assert 0.0 < gap <= 0.1, gap
+        # LF 0 flipped post-shift: the weighted refit must rate it
+        # near-useless.
+        assert refit.accuracies()[0] <= 0.55
 
     def test_state_round_trip_is_bitwise(self):
         stream = draw_batches(6, seed=15) + draw_batches(6, seed=16, **SHIFTED)
@@ -387,11 +328,10 @@ class TestDecayMode:
             resumed.observe(votes)
 
         assert resumed.state_dict() == straight.state_dict()
-        assert straight.refit().predict_proba(
-            straight.reconstruct_matrix()
-        ).tobytes() == resumed.refit().predict_proba(
-            resumed.reconstruct_matrix()
-        ).tobytes()
+        L = straight.compressed_votes().patterns
+        assert straight.refit().predict_proba(L).tobytes() == (
+            resumed.refit().predict_proba(L).tobytes()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -422,9 +362,10 @@ class TestWindowMode:
         )
         for votes in batches:
             model.observe(votes)
-        np.testing.assert_array_equal(
-            model.reconstruct_matrix(), np.vstack(batches[-2:])
-        )
+        window = compress_votes(np.vstack(batches[-2:]))
+        votes = model.compressed_votes()
+        np.testing.assert_array_equal(votes.patterns, window.patterns)
+        np.testing.assert_array_equal(votes.weights, window.weights)
 
     def test_patterns_evict_when_they_leave_the_window(self):
         model = OnlineLabelModel(
@@ -438,9 +379,9 @@ class TestWindowMode:
         assert model.n_patterns == 2
         model.observe(c)  # a slides out of the 2-batch window
         assert model.n_patterns == 2
-        assert np.array_equal(
-            model.reconstruct_matrix(), np.vstack([b, c])
-        )
+        votes = model.compressed_votes()
+        assert np.array_equal(votes.patterns, np.vstack([b[:1], c[:1]]))
+        assert np.array_equal(votes.weights, [3.0, 3.0])
 
     def test_windowed_refit_matches_offline_fit_of_the_window(self):
         """A window refit is *exactly* the offline fit of the tail."""
@@ -478,7 +419,8 @@ class TestWindowMode:
 
         assert resumed.state_dict() == straight.state_dict()
         np.testing.assert_array_equal(
-            resumed.reconstruct_matrix(), straight.reconstruct_matrix()
+            resumed.compressed_votes().weights,
+            straight.compressed_votes().weights,
         )
 
 

@@ -112,6 +112,26 @@ class TestPosteriorProperties:
         # No evidence must not be called positive.
         assert model.predict(empty)[0] == -1
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        m=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_posterior_is_batch_independent(self, n, m, seed):
+        """A row's posterior bits are the same alone and inside any
+        batch of 1-70 rows — the property serving relies on."""
+        rng = np.random.default_rng(seed)
+        model = SamplingFreeLabelModel()
+        model.init_params(m)
+        model.alpha = rng.normal(0.0, 1.0, m)
+        model.prior_logit = float(rng.normal())
+        L = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(n, m))
+        batch = model.predict_proba(L)
+        for i in range(n):
+            alone = model.predict_proba(L[i:i + 1])
+            assert alone.tobytes() == batch[i:i + 1].tobytes(), (i, n, m)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=3 ** 5 - 1))
     def test_posterior_in_unit_interval(self, encoded):
@@ -194,6 +214,37 @@ class TestTrainingBehaviour:
         for _ in range(100):
             last = model.partial_step(L[:200])
         assert last < first
+
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    def test_partial_step_matches_hand_computed_step(self, l2):
+        """One SGD step applies l2 and the min_alpha projection exactly
+        as fit does: ``alpha - lr * (grad + l2 * alpha)``, clipped."""
+        L, _ = synthetic_label_matrix(m=300, seed=16)
+        model = SamplingFreeLabelModel(
+            quick_config(l2=l2, learning_rate=0.05, learn_class_prior=True)
+        )
+        model.init_params(L.shape[1])
+        model.alpha = np.linspace(-0.2, 0.9, L.shape[1])
+        model.beta = np.linspace(0.4, -0.3, L.shape[1])
+        model.prior_logit = 0.2
+        alpha, beta, prior = model.alpha, model.beta, model.prior_logit
+        grad_alpha, grad_beta, grad_prior, nll = model._gradients(
+            L.astype(np.float64)
+        )
+
+        loss = model.partial_step(L)
+
+        lr = 0.05
+        np.testing.assert_array_equal(
+            model.alpha, np.maximum(alpha - lr * (grad_alpha + l2 * alpha), 0.0)
+        )
+        np.testing.assert_array_equal(
+            model.beta, beta - lr * (grad_beta + l2 * beta)
+        )
+        assert model.prior_logit == prior - lr * grad_prior
+        penalty = 0.5 * l2 * (float(alpha @ alpha) + float(beta @ beta))
+        assert loss == (nll + penalty) / len(L)
+        assert model.steps_taken == 1
 
     def test_steps_taken_counter(self):
         L, _ = synthetic_label_matrix(m=300, seed=13)

@@ -439,6 +439,38 @@ class TestMicroBatchingAndAdmission:
         assert report["peak_pending"] <= report["max_pending"]
         assert report["peak_pending"] >= 2
 
+    @pytest.mark.parametrize("size", [1, 2, 31, 33, 64])
+    def test_served_posteriors_match_offline_at_any_batch_size(
+        self, checkpointed, lfs, size
+    ):
+        """Micro-batches of ``size`` requests serve exactly the offline
+        ``predict_proba`` of the full matrix, with no padding."""
+        dfs = checkpointed["dfs"]
+        root = f"/srv/batch-{size}"
+        manifest = checkpointed["manifests"][-1]
+        registry = make_registry(dfs, root)
+        deploy(dfs, manifest, root)
+        expected = offline_posteriors(checkpointed, manifest)
+        rows = range(3 * size, 4 * size)
+        barrier = threading.Barrier(size)
+        served = {}
+
+        def ask(row):
+            barrier.wait()
+            served[row] = server.predict(checkpointed["decoded"][row])
+
+        config = ServeConfig(flush_ms=200.0, max_batch=size)
+        with LabelServer(registry, lfs, config) as server:
+            threads = [threading.Thread(target=ask, args=(r,)) for r in rows]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert sorted(served) == list(rows)
+        for row, result in served.items():
+            assert not result.degraded
+            assert result.posterior == expected[row], row
+
     def test_admission_control_counts_backpressure(self, checkpointed, lfs):
         dfs = checkpointed["dfs"]
         root = "/srv/backpressure"

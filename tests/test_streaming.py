@@ -19,6 +19,7 @@ from repro.core.online_label_model import (
     OnlineLabelModel,
     OnlineLabelModelConfig,
 )
+from repro.core.patterns import compress_votes
 from repro.experiments.harness import get_content_experiment
 from repro.lf.applier import apply_lfs_in_memory, stage_examples
 from repro.mapreduce.counters import Gauge
@@ -430,7 +431,9 @@ class TestOnlineLabelModel:
         L, _ = synthetic_label_matrix(m=700, seed=7)
         model = OnlineLabelModel()
         self._stream(model, L, batch=97)
-        assert np.array_equal(model.reconstruct_matrix(), L)
+        votes, full = model.compressed_votes(), compress_votes(L)
+        assert np.array_equal(votes.patterns, full.patterns)
+        assert np.array_equal(votes.weights, full.weights)
         assert model.n_patterns == len(np.unique(L, axis=0))
 
     def test_refit_is_exactly_the_offline_fit(self):
